@@ -15,9 +15,8 @@ Writes ``BENCH_speculation.json`` at the repo root with wall-clock
 seconds and speedups for the three arms (strict serial interleaving,
 conservative lookahead, optimistic speculation), a
 ``speculate_quantum`` sweep with commit/rollback rates on both the
-private-heavy and a deliberately hostile *sharing* workload, and a
-worker-tail row for the parallel engine. Asserts speculation is at
-least 3x faster than the strict interleaving (1.5x under
+private-heavy and a deliberately hostile *sharing* workload. Asserts
+speculation is at least 3x faster than the strict interleaving (1.5x under
 ``COMPASS_BENCH_QUICK=1``) and no slower than the lookahead arm.
 
 Also runs standalone for CI::
@@ -61,26 +60,6 @@ ARMS = {
     "lookahead": dict(speculate=False, lookahead=True),
     "speculate": dict(speculate=True),
 }
-
-#: worker program for the parallel tail row: re-scans a private 8 KiB buffer
-HOT_PROG = """
-    li r7, 0
-    li r8, {passes}
-    li r10, 0x100000
-pass:
-    li r1, 0
-    li r2, 8192
-loop:
-    loadx r3, r10, r1, 4
-    storex r3, r10, r1, 4
-    addi r1, r1, 32
-    blt r1, r2, loop
-    addi r7, r7, 1
-    blt r7, r8, pass
-    li r3, 0
-    halt
-"""
-
 
 def _run_once(cfg_kw, passes=PASSES, shared=False):
     """One 4-CPU run; returns (host seconds, engine, stats).
@@ -171,38 +150,7 @@ def _sweep_quantum(passes):
     return rows
 
 
-def _worker_tail_row(passes):
-    """ParallelEngine with speculative lease tails vs strict, 2 workers.
-
-    The commit/rollback split here is wall-clock dependent (verdicts race
-    real rival progress), so this row is observational — the simulated
-    end cycle is still asserted identical.
-    """
-    from repro.host import ParallelEngine, WorkerSpec
-    out = {}
-    for spec in (True, False):
-        SimProcess._next_pid[0] = 1
-        eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=4,
-                                             speculate=spec))
-        with eng:
-            for i in range(2):
-                eng.spawn_worker(
-                    WorkerSpec(f"w{i}", HOT_PROG.format(passes=passes)))
-            t0 = time.perf_counter()
-            stats = eng.run()
-            secs = time.perf_counter() - t0
-        bs = eng.batch_stats
-        out[spec] = {"seconds": secs, "end_cycle": stats.end_cycle,
-                     "windows": bs["sp_windows"],
-                     "commits": bs["sp_commits"],
-                     "rollbacks": bs["sp_rollbacks"],
-                     "lease_refs": bs["lease_refs"]}
-    assert out[True]["end_cycle"] == out[False]["end_cycle"], \
-        "worker speculation changed the simulation"
-    return {"spec_on": out[True], "spec_off": out[False]}
-
-
-def _report(best, sweep=None, tails=None, write=True):
+def _report(best, sweep=None, write=True):
     fps = {name: _fingerprint(eng, stats)
            for name, (_, eng, stats) in best.items()}
     ref = fps["serial"]
@@ -236,12 +184,6 @@ def _report(best, sweep=None, tails=None, write=True):
               f"{r['rollback_rate']:.1%}", f"{r['seconds']:.3f}")
              for r in sweep],
             title="\nspeculate_quantum sweep:"))
-    if tails:
-        on, off = tails["spec_on"], tails["spec_off"]
-        print(f"\nworker tails (2 workers): spec {on['seconds']:.3f}s "
-              f"({on['windows']} windows, {on['commits']} commits) vs "
-              f"strict leases {off['seconds']:.3f}s — identical end cycle "
-              f"{on['end_cycle']}")
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
@@ -258,7 +200,6 @@ def _report(best, sweep=None, tails=None, write=True):
         "rollback_rate": rollback_rate,
         "sp_refs": bs["sp_refs"],
         "quantum_sweep": sweep or [],
-        "worker_tails": tails or {},
     }
     if write:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -269,8 +210,7 @@ def test_speculation_speedup(benchmark):
     best = benchmark.pedantic(
         lambda: _measure(2 if QUICK else 3), rounds=1, iterations=1)
     sweep = _sweep_quantum(passes=10 if QUICK else 40)
-    tails = _worker_tail_row(passes=10 if QUICK else 40)
-    speedups, payload = _report(best, sweep, tails)
+    speedups, payload = _report(best, sweep)
     benchmark.extra_info.update(speedup=speedups["speculate"],
                                 rollback_rate=payload["rollback_rate"])
     assert speedups["speculate"] >= MIN_SPEEDUP, \
@@ -308,8 +248,7 @@ def main(argv=None) -> int:
         return 0
     best = _measure(rounds=3)
     sweep = _sweep_quantum(passes=40)
-    tails = _worker_tail_row(passes=40)
-    speedups, _ = _report(best, sweep, tails)
+    speedups, _ = _report(best, sweep)
     if speedups["speculate"] < MIN_SPEEDUP:
         print(f"FAIL: speedup {speedups['speculate']:.2f}x < "
               f"{MIN_SPEEDUP}x", file=sys.stderr)

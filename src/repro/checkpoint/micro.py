@@ -18,20 +18,11 @@ list copies, no pickling — before a window opens, and restores it in place
 on a horizon violation. Restoring bumps ``Cache.version`` so the vectorized
 mirror and every version-keyed memo (rival invisibility frontiers,
 classification caches) drop their now-stale entries.
-
-:class:`SpecOverlay` is the worker-process counterpart used by
-``host/parallel._drain_lease``: the worker's lease mirror is already a
-throwaway copy, so instead of snapshotting it the overlay *redirects* the
-speculative tail's mutations (copy-on-touch LRU lists, an E->M flip
-overlay) and buffers the tail's raw references. Rollback is then simply
-dropping the overlay and re-streaming the buffered references as ordinary
-fire-and-forget events; commit ships the overlay as the second half of the
-``"pr"`` fold.
 """
 
 from __future__ import annotations
 
-__all__ = ["MicroCheckpoint", "SpecOverlay"]
+__all__ = ["MicroCheckpoint"]
 
 
 class MicroCheckpoint:
@@ -89,41 +80,3 @@ class MicroCheckpoint:
         if ms._vec is not None:
             ms._vec.on_rollback(cpu)
 
-
-class SpecOverlay:
-    """Worker-side undo log for a speculative lease tail.
-
-    Reads go through the overlay (falling back to the committed mirror);
-    writes land only in the overlay. ``refs`` buffers each speculated
-    reference ``(kind, addr, size, delta)`` so a rollback can re-stream
-    them for authoritative timing.
-    """
-
-    __slots__ = ("states", "sets", "refs", "n_mem", "n_adv", "n_lines",
-                 "last_issue")
-
-    def __init__(self) -> None:
-        #: line -> speculated state (E->M flips only; lines never move)
-        self.states: dict = {}
-        #: set index -> private copy of the LRU list (copy-on-touch)
-        self.sets: dict = {}
-        #: buffered tail references, in stream order
-        self.refs: list = []
-        self.n_mem = 0
-        self.n_adv = 0
-        self.n_lines = 0
-        self.last_issue = 0
-
-    def set_list(self, idx: int, base_sets: list) -> list:
-        """The private LRU list for ``idx``, copied from the committed
-        mirror on first touch."""
-        s = self.sets.get(idx)
-        if s is None:
-            s = list(base_sets[idx])
-            self.sets[idx] = s
-        return s
-
-    def payload(self, advance: int) -> tuple:
-        """The speculative half of the ``"pr"`` message."""
-        return (self.n_mem, self.n_adv, self.n_lines, advance,
-                self.last_issue, self.sets, sorted(self.states))

@@ -291,8 +291,10 @@ class SimConfig:
     #: the issuing CPU's private state, validates the window afterwards,
     #: and rolls only that CPU back when a rival could have intervened
     #: (bit-identical either way — see DESIGN.md "Speculative execution").
-    #: Automatically stands down wherever leases are denied today:
-    #: checkpoint record/replay, memory taps, sampled fast-forward.
+    #: Applies to the inline ``Engine`` only: ParallelEngine workers take
+    #: conservative leases whatever this is set to. Automatically stands
+    #: down under checkpoint record/replay, memory taps and sampled
+    #: fast-forward.
     speculate: bool = True
     #: speculation window length in cycles past the strict rival horizon.
     #: 0 = auto: start from the lookahead scale and adapt — shrink on

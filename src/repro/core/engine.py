@@ -556,12 +556,7 @@ class Engine:
         of references consumed.
         """
         cpu = proc.cpu
-        cpu_state = self.comm.cpus[cpu]
-        deliver = ((cpu_state.irq_pending and cpu_state.irq_enabled
-                    and proc.intr_enabled and proc.mode != "interrupt")
-                   or (not proc.kernel_mode
-                       and self.signals.has_pending(proc.pid))
-                   or proc.preempt_pending)
+        deliver = self._delivery_pending(proc)
         limit = batch.n - batch.cursor
         if budget < limit:
             limit = budget
@@ -624,6 +619,16 @@ class Engine:
             proc.port_event = batch
         return consumed
 
+    def _delivery_pending(self, proc: SimProcess) -> bool:
+        """An interrupt, signal or preemption is due for ``proc`` (running
+        on a CPU) at its next poll point."""
+        cpu_state = self.comm.cpus[proc.cpu]
+        return bool((cpu_state.irq_pending and cpu_state.irq_enabled
+                     and proc.intr_enabled and proc.mode != "interrupt")
+                    or (not proc.kernel_mode
+                        and self.signals.has_pending(proc.pid))
+                    or proc.preempt_pending)
+
     def _invisible_bound(self, proc: SimProcess, event, cap: int) -> int:
         """Earliest cycle at which rival ``proc`` could next act
         *non-invisibly*, given its parked port event.
@@ -639,12 +644,7 @@ class Engine:
         event can be no earlier than its completion. Every other event
         kind (locks, syscalls, exit…) is non-invisible at its own time.
         """
-        cpu_state = self.comm.cpus[proc.cpu]
-        if ((cpu_state.irq_pending and cpu_state.irq_enabled
-                and proc.intr_enabled and proc.mode != "interrupt")
-                or (not proc.kernel_mode
-                    and self.signals.has_pending(proc.pid))
-                or proc.preempt_pending):
+        if self._delivery_pending(proc):
             return event.time
         kind = event.kind
         if kind == 9:
@@ -745,12 +745,7 @@ class Engine:
         """:meth:`_invisible_bound` with the memoized resumable walk —
         the validation-side qualifier. Delivery flags are checked fresh
         on every call; only the pure invisibility walk is memoised."""
-        cpu_state = self.comm.cpus[proc.cpu]
-        if ((cpu_state.irq_pending and cpu_state.irq_enabled
-                and proc.intr_enabled and proc.mode != "interrupt")
-                or (not proc.kernel_mode
-                    and self.signals.has_pending(proc.pid))
-                or proc.preempt_pending):
+        if self._delivery_pending(proc):
             return event.time
         kind = event.kind
         if kind == 9:

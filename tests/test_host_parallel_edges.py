@@ -8,9 +8,13 @@ import time
 
 import pytest
 
-from repro import complex_backend, simple_backend
+from repro import SamplingConfig, complex_backend, simple_backend
 from repro.core.errors import HostError
-from repro.host import ParallelEngine, WorkerSpec
+from repro.core.frontend import ProcState, SimProcess
+from repro.host import ParallelEngine, WorkerSpec, parallel
+
+from tests.test_lookahead_equivalence import HOT_PROG, _snapshot
+from tests.test_translate_equivalence import ISA_KERNEL
 
 TRIVIAL = """
     li r3, 7
@@ -178,3 +182,63 @@ def test_custom_segments_and_registers():
             "t", prog, segments=[(0x400000, 4096)], regs={7: 35}))
         eng.run()
     assert p.exit_status == 35   # 0 (fresh memory) + 35
+
+
+# ---------------------------------------------------------------------------
+# run-loop exit race and sampled runs
+# ---------------------------------------------------------------------------
+
+def test_periodic_harvest_exit_ends_run(monkeypatch):
+    """A periodic harvest that re-steps the last parked proxy into its
+    exit must end the run there, not fall through to the next backend
+    task (the first timer tick, one timer_interval later).
+
+    The slowed harvest waits for every parked worker's pipe before
+    draining, so the exit message is always there to be consumed by the
+    periodic harvest — the host scheduling under which the race shows."""
+    monkeypatch.setattr(parallel, "HARVEST_EVERY", 1)
+    orig = ParallelEngine._harvest
+
+    def slow_harvest(self, block_on=None):
+        if not block_on:
+            for w in self._workers.values():
+                p = w.proc
+                if (w.alive and w.conn is not None and p is not None
+                        and not w.queue and p.port_event is None
+                        and p.state == ProcState.RUNNING):
+                    w.conn.poll(0.05)
+        return orig(self, block_on)
+
+    monkeypatch.setattr(ParallelEngine, "_harvest", slow_harvest)
+    for _ in range(5):
+        SimProcess._next_pid[0] = 1
+        eng = ParallelEngine(complex_backend(num_cpus=2))
+        with eng:
+            for i in range(2):
+                eng.spawn_worker(WorkerSpec(f"w{i}", ISA_KERNEL))
+            stats = eng.run()
+        assert stats.end_cycle == 15_936
+
+
+def test_sampled_parallel_run_matches_without_leases():
+    """Sampling on: detail windows lease up to the next window switch,
+    fast-forward windows deny leases and the backend times the streamed
+    references, so lease and no-lease runs agree, and a second run
+    repeats the first."""
+    def run(**kw):
+        SimProcess._next_pid[0] = 1
+        eng = ParallelEngine(complex_backend(
+            num_cpus=1,
+            sampling=SamplingConfig(detail_events=2_000, ff_events=6_000),
+            **kw))
+        with eng:
+            eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
+            stats = eng.run()
+        kinds = {w["kind"] for w in eng._sampler.windows}
+        return (_snapshot(eng, stats), kinds), eng.batch_stats["leases"]
+
+    first, leases = run()
+    assert first[1] == {"detail", "ff"}
+    assert leases > 0
+    assert run()[0] == first
+    assert run(worker_lease=0)[0] == first

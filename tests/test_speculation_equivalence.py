@@ -2,20 +2,16 @@
 
 ``SimConfig.speculate`` lets the engine consume references *past* the
 conservative rival horizon behind a micro-checkpoint, validating after the
-fact and rolling back on a horizon violation; ``ParallelEngine`` workers
-likewise pre-time an optimistic tail past their lease window and the
-backend commits or rolls it back at fold time. Both layers must produce
-*exactly* the simulated cycle counts, cache statistics, CPU time buckets
-and fault-fire counts of the strict conservative schedule — with and
-without fault plans, under memory taps, composed with checkpoint
-crash/resume, across worker SIGKILLs mid-speculation, and under bounded
-max_events stepping.
+fact and rolling back on a horizon violation. It must produce *exactly*
+the simulated cycle counts, cache statistics, CPU time buckets and
+fault-fire counts of the strict conservative schedule — with and without
+fault plans, under memory taps, composed with checkpoint crash/resume, and
+under bounded max_events stepping. ``ParallelEngine`` workers never
+speculate (their leases stop at the conservative window end), so there
+the knob must change nothing at all.
 """
 
 from __future__ import annotations
-
-import os
-import signal
 
 import pytest
 
@@ -218,7 +214,7 @@ def test_checkpoint_resume_with_speculation_on(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# ParallelEngine: worker-side speculative tails
+# ParallelEngine: the knob is inline-only
 # ---------------------------------------------------------------------------
 
 def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
@@ -232,94 +228,13 @@ def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
     return _snapshot(eng, stats), eng
 
 
-def test_worker_speculation_matches_strict():
-    """Speculative tails engage on rival-bound-stalled workers and the
-    results match both the conservative-lease and no-lease runs.
-    (The commit/rollback split — and through the adaptive quantum the
-    exact window count — is wall-clock dependent; the *results* are
-    not, which is the whole point.)"""
-    snap_spec, eng_spec = _run_parallel(2, worker_lease=2, speculate=True)
-    snap_cons, _ = _run_parallel(2, worker_lease=2, speculate=False)
-    snap_none, _ = _run_parallel(2, worker_lease=0, speculate=False)
-    assert snap_spec == snap_cons == snap_none
-    bs = eng_spec.batch_stats
-    assert bs["sp_windows"] > 0
-    assert bs["sp_commits"] + bs["sp_rollbacks"] == bs["sp_windows"]
-
-
 def test_worker_speculation_multi_worker_identity():
-    snap_spec, _ = _run_parallel(3, worker_lease=2, speculate=True)
-    snap_none, _ = _run_parallel(3, worker_lease=0, speculate=False)
-    assert snap_spec == snap_none
-
-
-def test_worker_killed_mid_speculation(monkeypatch):
-    """SIGKILL the worker right after its first speculative fold: the
-    supervisor relaunches it, the re-drained tail blocks on the replayed
-    "pr" and gets the *recorded* verdict back, and the run completes
-    bit-identically to an undisturbed one."""
-    baseline, _ = _run_parallel(2, worker_lease=2, speculate=True)
-
-    killed = []
-    orig = ParallelEngine._apply_pretimed
-
-    def killing_apply(self, w, msg):
-        orig(self, w, msg)
-        if msg[8] is not None and not killed:
-            killed.append(True)
-            try:
-                os.kill(w.process.pid, signal.SIGKILL)
-                w.process.join(timeout=5)
-            except (OSError, ValueError):
-                pass
-
-    monkeypatch.setattr(ParallelEngine, "_apply_pretimed", killing_apply)
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=2,
-                                         speculate=True))
-    eng.worker_backoff = 0.01
-    with eng:
-        procs = [eng.spawn_worker(WorkerSpec(f"w{i}", HOT_PROG))
-                 for i in range(2)]
-        stats = eng.run()
-    assert killed
-    assert any(eng._workers[p.pid].restarts >= 1 for p in procs)
-    assert _snapshot(eng, stats) == baseline
-
-
-def test_worker_killed_between_tail_and_verdict(monkeypatch):
-    """SIGKILL the worker while it is *blocked on the verdict*: the
-    verdict send hits a dead pipe, the supervisor restarts, and replay
-    re-answers the re-sent "pr" from the recorded verdict log."""
-    baseline, _ = _run_parallel(2, worker_lease=2, speculate=True)
-
-    killed = []
-    orig = ParallelEngine._spec_verdict
-
-    def killing_verdict(self, p, end2):
-        ok = orig(self, p, end2)
-        if not killed:
-            killed.append(True)
-            w = self._workers.get(p.pid)
-            try:
-                os.kill(w.process.pid, signal.SIGKILL)
-                w.process.join(timeout=5)
-            except (OSError, ValueError):
-                pass
-        return ok
-
-    monkeypatch.setattr(ParallelEngine, "_spec_verdict", killing_verdict)
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=2,
-                                         speculate=True))
-    eng.worker_backoff = 0.01
-    with eng:
-        procs = [eng.spawn_worker(WorkerSpec(f"w{i}", HOT_PROG))
-                 for i in range(2)]
-        stats = eng.run()
-    assert killed
-    assert any(eng._workers[p.pid].restarts >= 1 for p in procs)
-    assert _snapshot(eng, stats) == baseline
+    """Leases on/off x speculate on/off: workers only ever take the
+    conservative lease, so all four arms agree and none speculates."""
+    runs = [_run_parallel(3, worker_lease=lease, speculate=spec)
+            for lease in (2, 0) for spec in (True, False)]
+    assert all(snap == runs[0][0] for snap, _ in runs)
+    assert all(eng.batch_stats["sp_windows"] == 0 for _, eng in runs)
 
 
 def test_parallel_checkpoint_denies_speculation(tmp_path):
