@@ -13,10 +13,8 @@ path's tiny alternating batch windows are pure scheduling overhead.
 
 Writes ``BENCH_speculation.json`` at the repo root with wall-clock
 seconds and speedups for the three arms (strict serial interleaving,
-conservative lookahead, optimistic speculation), a
-``speculate_quantum`` sweep with commit/rollback rates on both the
-private-heavy and a deliberately hostile *sharing* workload. Asserts
-speculation is at least 3x faster than the strict interleaving (1.5x under
+conservative lookahead, optimistic speculation) and the speculation
+arm's commit/rollback counts. Asserts speculation is at least 3x faster than the strict interleaving (1.5x under
 ``COMPASS_BENCH_QUICK=1``) and no slower than the lookahead arm.
 
 Also runs standalone for CI::
@@ -52,7 +50,6 @@ PASSES = 40 if QUICK else 150
 MIN_SPEEDUP = 1.5 if QUICK else 3.0
 #: host noise guard for the "no slower than lookahead" gate
 LA_TOLERANCE = 0.90
-SWEEP_QUANTA = (256, 1024, 4096, 16384)
 OUT_PATH = REPO_ROOT / "BENCH_speculation.json"
 
 ARMS = {
@@ -61,13 +58,8 @@ ARMS = {
     "speculate": dict(speculate=True),
 }
 
-def _run_once(cfg_kw, passes=PASSES, shared=False):
-    """One 4-CPU run; returns (host seconds, engine, stats).
-
-    ``shared=False`` is the private-heavy target configuration; with
-    ``shared=True`` every CPU hammers the *same* buffer, so speculative
-    windows constantly cross invalidation traffic — the hostile case
-    that exercises rollback and the adaptive quantum.
+def _run_once(cfg_kw, passes=PASSES):
+    """One 4-CPU private-heavy run; returns (host seconds, engine, stats).
     """
     SimProcess._next_pid[0] = 1
     eng = Engine(complex_backend(num_cpus=NCPUS, coherence="mesi",
@@ -81,19 +73,8 @@ def _run_once(cfg_kw, passes=PASSES, shared=False):
             yield from p.exit(0)
         return app
 
-    def make_shared():
-        def app(p):
-            r = yield from p.call("shmget", 0xBEEF, NBYTES)
-            r = yield from p.call("shmat", r.value, 0xB500_0000)
-            base = r.value
-            for _ in range(passes):
-                yield from p.touch(base, NBYTES, write=True, stride=32)
-            yield from p.exit(0)
-        return app
-
     for c in range(NCPUS):
-        eng.spawn(f"w{c}", make_shared() if shared
-                  else make_private(0x1_0000 + c * 0x10_000))
+        eng.spawn(f"w{c}", make_private(0x1_0000 + c * 0x10_000))
     t0 = time.perf_counter()
     stats = eng.run()
     return time.perf_counter() - t0, eng, stats
@@ -118,39 +99,7 @@ def _measure(rounds, passes=PASSES):
     return best
 
 
-def _sweep_quantum(passes):
-    """Commit/rollback behaviour across starting window sizes, on the
-    target (private) and the hostile (sharing) workload.
-
-    The sweep is timing-neutral by construction — the end cycle doubles
-    as a correctness check across every knob value per workload.
-    """
-    rows = []
-    for shared in (False, True):
-        end_cycles = set()
-        for q in SWEEP_QUANTA:
-            secs, eng, stats = _run_once(
-                dict(speculate=True, speculate_quantum=q), passes, shared)
-            bs = eng.batch_stats
-            settled = bs["sp_commits"] + bs["sp_rollbacks"]
-            end_cycles.add(stats.end_cycle)
-            rows.append({
-                "workload": "sharing" if shared else "private",
-                "quantum": q, "seconds": secs,
-                "end_cycle": stats.end_cycle,
-                "windows": bs["sp_windows"],
-                "commits": bs["sp_commits"],
-                "rollbacks": bs["sp_rollbacks"],
-                "rollback_rate": (bs["sp_rollbacks"] / settled
-                                  if settled else 0.0),
-                "spec_refs": bs["sp_refs"],
-            })
-        assert len(end_cycles) == 1, \
-            f"speculate_quantum changed the simulation: {sorted(end_cycles)}"
-    return rows
-
-
-def _report(best, sweep=None, write=True):
+def _report(best, write=True):
     fps = {name: _fingerprint(eng, stats)
            for name, (_, eng, stats) in best.items()}
     ref = fps["serial"]
@@ -175,15 +124,6 @@ def _report(best, sweep=None, write=True):
           f"rollbacks: {bs['sp_rollbacks']}   "
           f"rollback rate: {rollback_rate:.1%}   "
           f"speculated refs: {bs['sp_refs']}")
-    if sweep:
-        print(render_table(
-            ("workload", "quantum", "windows", "commits", "rollbacks",
-             "rollback rate", "host s"),
-            [(r["workload"], str(r["quantum"]), str(r["windows"]),
-              str(r["commits"]), str(r["rollbacks"]),
-              f"{r['rollback_rate']:.1%}", f"{r['seconds']:.3f}")
-             for r in sweep],
-            title="\nspeculate_quantum sweep:"))
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
@@ -199,7 +139,6 @@ def _report(best, sweep=None, write=True):
         "sp_rollbacks": bs["sp_rollbacks"],
         "rollback_rate": rollback_rate,
         "sp_refs": bs["sp_refs"],
-        "quantum_sweep": sweep or [],
     }
     if write:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -209,8 +148,7 @@ def _report(best, sweep=None, write=True):
 def test_speculation_speedup(benchmark):
     best = benchmark.pedantic(
         lambda: _measure(2 if QUICK else 3), rounds=1, iterations=1)
-    sweep = _sweep_quantum(passes=10 if QUICK else 40)
-    speedups, payload = _report(best, sweep)
+    speedups, payload = _report(best)
     benchmark.extra_info.update(speedup=speedups["speculate"],
                                 rollback_rate=payload["rollback_rate"])
     assert speedups["speculate"] >= MIN_SPEEDUP, \
@@ -247,8 +185,7 @@ def main(argv=None) -> int:
               f"{speedups['lookahead']:.2f}x")
         return 0
     best = _measure(rounds=3)
-    sweep = _sweep_quantum(passes=40)
-    speedups, _ = _report(best, sweep)
+    speedups, _ = _report(best)
     if speedups["speculate"] < MIN_SPEEDUP:
         print(f"FAIL: speedup {speedups['speculate']:.2f}x < "
               f"{MIN_SPEEDUP}x", file=sys.stderr)

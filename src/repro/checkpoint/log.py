@@ -2,9 +2,10 @@
 
 The engine reaches the memory system only through ``engine.memsys``, so a
 delegating wrapper captures (or substitutes) the full reply stream without
-touching the hierarchy itself. Both wrappers run the *tapped* per-reference
-loop for batched runs — already proven bit-identical to the inlined hot
-loop by the fast-path equivalence tests — so recording changes no timing.
+touching the hierarchy itself. Both wrappers run batched references through
+the per-reference loop ``run_each`` — the one the tapped hierarchy runs,
+already proven bit-identical to the inlined hot loop by the fast-path
+equivalence tests — so recording changes no timing.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.errors import ReplayDivergence
+from ..mem.hierarchy import run_each
 
 #: reply-log sentinel for "this access raised a major fault"
 MAJOR_FAULT = -1
@@ -32,33 +34,12 @@ class _MemoryWrapper:
                    sizes: list, pends: list, i: int, n: int, t: int,
                    limit: int, horizon: int, ext: int = 0, clock=None,
                    serial=None, uhint=None):
-        # mirror of MemorySystem.access_run's tapped branch: identical
-        # issue-time arithmetic and cut conditions, one access() per
-        # reference so the wrapper sees the full stream. The lookahead
-        # extension (``ext``) is deliberately ignored, exactly like the
-        # tapped branch: record and replay must both observe the strict
-        # interleaving so the reply log lines up deterministically.
-        access = self.access
-        consumed = 0
-        added = 0
-        while True:
-            k = kinds[i]
-            if clock is not None and t > clock.now:
-                clock.now = t
-            lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu,
-                                t, atomic=(k == 2))
-            consumed += 1
-            if major is not None:
-                return consumed, i, t, added, major, 0
-            added += lat
-            t += lat
-            i += 1
-            if i >= n or consumed >= limit:
-                return consumed, i, t, added, None, 0
-            nt = t + pends[i]
-            if nt >= horizon:
-                return consumed, i, t, added, None, 0
-            t = nt
+        # the lookahead extension (``ext``) is deliberately ignored, as in
+        # MemorySystem.access_run's tapped branch: record and replay must
+        # both observe the strict interleaving so the reply log lines up
+        # deterministically
+        return run_each(self.access, pid, cpu, kinds, addrs, sizes, pends,
+                        i, n, t, limit, horizon, clock)
 
 
 class RecordingMemory(_MemoryWrapper):

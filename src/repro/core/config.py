@@ -227,8 +227,6 @@ class SimConfig:
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     #: deadlock-detection: max events with no progress before aborting
     max_cycles: int = 1 << 62
-    #: instrumentation ON/OFF default (the paper's Simulation switch)
-    instrument_default: bool = True
     #: batched event pipeline + L1 fast-path filter (bit-identical timing;
     #: turn off to force the one-event-per-reference path, e.g. for
     #: equivalence testing or interleaving ablations)
@@ -245,10 +243,6 @@ class SimConfig:
     #: Bit-identical to the strict scheduler; turn off to force the PR 1
     #: next-rival-event cut, e.g. for equivalence testing.
     lookahead: bool = True
-    #: how far past the strict horizon a lookahead window may reach, in
-    #: cycles. 0 = auto: scaled from the protocol's min_remote_latency()
-    #: (see DESIGN.md "Conservative lookahead windows").
-    lookahead_cycles: int = 0
     #: fire-and-forget batch size used by ParallelEngine workers (events
     #: per pipe message)
     worker_batch: int = 64
@@ -287,22 +281,16 @@ class SimConfig:
     #: optimistic (Time Warp-style) speculative execution: instead of
     #: qualifying a lookahead window against every rival up front, the
     #: engine consumes provably-invisible references straight through to
-    #: ``horizon + speculate_quantum`` after taking a micro-checkpoint of
-    #: the issuing CPU's private state, validates the window afterwards,
-    #: and rolls only that CPU back when a rival could have intervened
-    #: (bit-identical either way — see DESIGN.md "Speculative execution").
+    #: ``horizon + quantum`` after taking a micro-checkpoint of the issuing
+    #: CPU's private state, validates the window afterwards, and rolls only
+    #: that CPU back when a rival could have intervened (bit-identical
+    #: either way — see DESIGN.md "Speculative execution"). The quantum
+    #: starts at the lookahead window and adapts to commits and rollbacks.
     #: Applies to the inline ``Engine`` only: ParallelEngine workers take
     #: conservative leases whatever this is set to. Automatically stands
     #: down under checkpoint record/replay, memory taps and sampled
     #: fast-forward.
     speculate: bool = True
-    #: speculation window length in cycles past the strict rival horizon.
-    #: 0 = auto: start from the lookahead scale and adapt — shrink on
-    #: rollback, grow on commit (the vec-path accept-based backoff shape).
-    speculate_quantum: int = 0
-    #: consecutive rollbacks tolerated before speculation disables itself
-    #: for the rest of the run (a thrash guard; 0 = never disable)
-    speculate_max_rollbacks: int = 64
 
     def validate(self) -> "SimConfig":
         if self.num_cpus <= 0:
@@ -313,16 +301,10 @@ class SimConfig:
         self.ethernet.validate()
         if self.watchdog_rounds <= 0:
             raise ConfigError("watchdog_rounds must be positive")
-        if self.lookahead_cycles < 0:
-            raise ConfigError("lookahead_cycles must be >= 0")
         if self.worker_batch <= 0:
             raise ConfigError("worker_batch must be positive")
         if self.worker_lease < 0:
             raise ConfigError("worker_lease must be >= 0")
-        if self.speculate_quantum < 0:
-            raise ConfigError("speculate_quantum must be >= 0")
-        if self.speculate_max_rollbacks < 0:
-            raise ConfigError("speculate_max_rollbacks must be >= 0")
         if self.faults is not None:
             self.faults.validate()
         if self.checkpoint_interval < 0:

@@ -45,6 +45,9 @@ DEFAULT_ANON_BASE = 0x0001_0000
 DEFAULT_ANON_END = 0xB000_0000
 #: region managed by the mmap/shmat address allocator
 MMAP_BASE = 0xB000_0000
+#: consecutive speculation rollbacks (no commit between them) after which
+#: the engine stops speculating for the rest of the run (a thrash guard)
+SPEC_MAX_ROLLBACKS = 64
 
 
 class Engine:
@@ -114,14 +117,13 @@ class Engine:
         self._lookahead = (bool(getattr(cfg, "lookahead", True))
                            and self._frontend_batching
                            and self.memsys._fast_on)
-        _la_cycles = getattr(cfg, "lookahead_cycles", 0)
-        if not _la_cycles:
-            # auto: the protocol's cheapest cross-CPU interaction sets the
-            # per-configuration scale; the multiplier only bounds how much
-            # rival-qualification work one window may spend (safety comes
-            # from per-reference invisibility, not from the bound itself)
-            _la_cycles = max(64 * self.memsys.min_remote_latency(), 4096)
-        self._lookahead_cycles = _la_cycles
+        #: window length past the strict horizon: the protocol's cheapest
+        #: cross-CPU interaction sets the per-configuration scale; the
+        #: multiplier only bounds how much rival-qualification work one
+        #: window may spend (safety comes from per-reference invisibility,
+        #: not from the bound itself)
+        self._lookahead_cycles = max(64 * self.memsys.min_remote_latency(),
+                                     4096)
         #: optimistic speculation past the rival horizon (Time Warp-style,
         #: see DESIGN.md "Speculative execution"): consume invisible
         #: references to ``horizon + quantum`` first, validate the window
@@ -132,19 +134,16 @@ class Engine:
         self._speculate = (bool(getattr(cfg, "speculate", True))
                            and self._frontend_batching
                            and self.memsys._fast_on)
-        _q = getattr(cfg, "speculate_quantum", 0)
-        if not _q:
-            _q = _la_cycles
-        #: adaptive quantum: halve on rollback, double on commit (the
-        #: vec-path accept-based backoff shape), clamped to [base/16, 64*base]
+        #: adaptive quantum: starts at the lookahead window, halves on
+        #: rollback, doubles on commit (the vec-path accept-based backoff
+        #: shape), clamped to [base/16, 64*base]
+        _q = self._lookahead_cycles
         self._spec_quantum = _q
         self._spec_quantum_min = max(64, _q >> 4)
         self._spec_quantum_max = _q << 6
         #: consecutive rollbacks without an intervening commit; at
-        #: ``speculate_max_rollbacks`` speculation disables for the run
+        #: ``SPEC_MAX_ROLLBACKS`` speculation disables for the run
         self._spec_row = 0
-        self._spec_max_rollbacks = getattr(cfg, "speculate_max_rollbacks",
-                                           64)
         self._spec_on = self._speculate
         #: rival pid -> resumable invisibility-walk state
         #: (see MemorySystem.invisible_frontier)
@@ -629,27 +628,36 @@ class Engine:
                         and self.signals.has_pending(proc.pid))
                     or proc.preempt_pending)
 
-    def _invisible_bound(self, proc: SimProcess, event, cap: int) -> int:
+    def _invisible_bound(self, proc: SimProcess, event, cap: int,
+                         memo: Optional[dict] = None) -> int:
         """Earliest cycle at which rival ``proc`` could next act
         *non-invisibly*, given its parked port event.
 
-        Used by the lookahead scan: another frontend may safely consume
-        invisible references up to this cycle without being reordered
-        against anything ``proc`` can observe. When ``proc`` has a pending
-        interrupt/signal/preemption, servicing its event pushes handler
-        frames whose references cannot be bounded here, so no extension
-        past its event time is granted. A parked batch is qualified
-        reference-by-reference (read-only) up to ``cap``; a single memory
-        event is qualified with one probe — after it, the rival's next
-        event can be no earlier than its completion. Every other event
-        kind (locks, syscalls, exit…) is non-invisible at its own time.
+        Another frontend may safely consume invisible references up to this
+        cycle without being reordered against anything ``proc`` can observe.
+        When ``proc`` has a pending interrupt/signal/preemption, servicing
+        its event pushes handler frames whose references cannot be bounded
+        here, so no extension past its event time is granted. A parked
+        batch is qualified reference-by-reference (read-only) up to
+        ``cap``; a single memory event is qualified with one probe — after
+        it, the rival's next event can be no earlier than its completion.
+        Every other event kind (locks, syscalls, exit…) is non-invisible at
+        its own time.
+
+        The lookahead scan passes no ``memo`` and walks fresh; speculation
+        validation passes its memo to resume earlier walks (see
+        ``MemorySystem.invisible_frontier``). Delivery flags are checked
+        fresh on every call; only the invisibility walk is memoised.
         """
         if self._delivery_pending(proc):
             return event.time
         kind = event.kind
         if kind == 9:
-            return self.memsys.invisible_until(event.pid, proc.cpu, event,
-                                               cap)
+            if memo is None:
+                return self.memsys.invisible_until(event.pid, proc.cpu,
+                                                   event, cap)
+            return self.memsys.invisible_frontier(event.pid, proc.cpu,
+                                                  event, cap, memo)
         if kind <= 2:
             lat = self.memsys.ref_invisible_latency(
                 event.pid, proc.cpu, kind, event.addr, event.size)
@@ -693,6 +701,11 @@ class Engine:
         t0 = t + pends[i]
         if t0 >= ext:
             return c1, i, t, a1, None, 0
+        if ms.ref_invisible_latency(proc.pid, cpu, batch.kinds[i],
+                                    batch.addrs[i], batch.sizes[i]) < 0:
+            # the first window reference would take the slow path, which
+            # cuts the window before it consumes anything: open none
+            return c1, i, t, a1, None, 0
         bs = self.batch_stats
         bs["sp_windows"] += 1
         mck = self._micro_ckpt(ms, cpu, gsched)
@@ -700,14 +713,10 @@ class Engine:
             proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
             i, batch.n, t0, limit - c1, horizon, ext,
             clock=gsched, serial=batch.serial, uhint=batch.uhint)
-        if c2 == 0:
-            # first window reference would take the slow path: nothing was
-            # speculated, but the scalar loop already published its issue
-            # time on the global clock — take that back
-            gsched.now = mck._now
-            return c1, i, t, a1, None, 0
-        v = self.comm.speculation_bound(proc, horizon, t2,
-                                        self._frontier_bound)
+        memo = self._spec_memo
+        v = self.comm.speculation_bound(
+            proc, horizon, t2,
+            lambda p, e, cap: self._invisible_bound(p, e, cap, memo))
         if v >= t2:
             bs["sp_commits"] += 1
             bs["sp_refs"] += c2
@@ -725,8 +734,7 @@ class Engine:
         if q >= self._spec_quantum_min:
             self._spec_quantum = q
         self._spec_row += 1
-        if (self._spec_max_rollbacks
-                and self._spec_row >= self._spec_max_rollbacks):
+        if self._spec_row >= SPEC_MAX_ROLLBACKS:
             # thrashing: fall back to conservative lookahead for the rest
             # of the run (results are identical either way)
             self._spec_on = False
@@ -737,27 +745,7 @@ class Engine:
             i, batch.n, t0, limit - c1, horizon, v,
             clock=gsched, serial=batch.serial, uhint=batch.uhint)
         bs["sp_refs"] += c3
-        if c3 == 0:
-            return c1, i, t, a1, None, 0
         return c1 + c3, i3, t3, a1 + a3, None, er3
-
-    def _frontier_bound(self, proc: SimProcess, event, cap: int) -> int:
-        """:meth:`_invisible_bound` with the memoized resumable walk —
-        the validation-side qualifier. Delivery flags are checked fresh
-        on every call; only the pure invisibility walk is memoised."""
-        if self._delivery_pending(proc):
-            return event.time
-        kind = event.kind
-        if kind == 9:
-            return self.memsys.invisible_frontier(event.pid, proc.cpu,
-                                                  event, cap,
-                                                  self._spec_memo)
-        if kind <= 2:
-            lat = self.memsys.ref_invisible_latency(
-                event.pid, proc.cpu, kind, event.addr, event.size)
-            if lat >= 0:
-                return event.time + lat
-        return event.time
 
     # -- memory faults -----------------------------------------------------
 

@@ -31,6 +31,43 @@ _EXCLUSIVE = 2
 _MODIFIED = 3
 
 
+def run_each(access, pid: int, cpu: int, kinds: list, addrs: list,
+             sizes: list, pends: list, i: int, n: int, t: int, limit: int,
+             horizon: int, clock):
+    """The per-reference loop: one ``access`` call per batched reference.
+
+    The reference at ``i`` issues at ``t``; each later reference issues at
+    the previous completion time plus its pending cycles, and is consumed
+    only while that stays below ``horizon`` and fewer than ``limit``
+    references were served. ``clock`` (the engine's global scheduler) is
+    advanced to each reference's issue time, exactly as the per-event loop
+    does. ``access`` has :meth:`MemorySystem.access`'s signature; tapped
+    runs, checkpoint record/replay and the fast-forward tails all go
+    through here. Returns :meth:`MemorySystem.access_run`'s tuple, with no
+    references past the strict horizon.
+    """
+    consumed = 0
+    added = 0
+    while True:
+        k = kinds[i]
+        if clock is not None and t > clock.now:
+            clock.now = t
+        lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu, t,
+                            atomic=(k == 2))
+        consumed += 1
+        if major is not None:
+            return consumed, i, t, added, major, 0
+        added += lat
+        t += lat
+        i += 1
+        if i >= n or consumed >= limit:
+            return consumed, i, t, added, None, 0
+        nt = t + pends[i]
+        if nt >= horizon:
+            return consumed, i, t, added, None, 0
+        t = nt
+
+
 class MemorySystem:
     """Caches, interconnect and VM for one simulated machine."""
 
@@ -136,7 +173,8 @@ class MemorySystem:
         the VM trap path and retry.
         """
         if self.ff_active:
-            return self._ff_access(pid, vaddr, size, write, cpu, atomic)
+            return self._ff_access(pid, vaddr, size, write, cpu, now,
+                                   atomic)
         if self._fast_on:
             # fast path: page already translated + all lines hit L1 with
             # sufficient rights (bit-identical to the full path below)
@@ -274,7 +312,14 @@ class MemorySystem:
 
     def invisible_until(self, pid: int, cpu: int, batch, cap: int) -> int:
         """Earliest cycle at which the frontend owning ``batch`` could next
-        act *non-invisibly*, walking its pending references from the cursor.
+        act *non-invisibly*: :meth:`invisible_frontier` with a fresh memo,
+        so the walk starts at the batch cursor."""
+        return self.invisible_frontier(pid, cpu, batch, cap, {})
+
+    def invisible_frontier(self, pid: int, cpu: int, batch, cap: int,
+                           memo: dict) -> int:
+        """The invisibility walk over ``batch``'s pending references from
+        the cursor, resumable through ``memo``.
 
         A reference is invisible when it satisfies the L1 fast-path full-hit
         predicate: it then mutates only issuer-private state (own LRU order,
@@ -286,61 +331,6 @@ class MemorySystem:
         ``cap`` qualifies, else the issue time of the first reference that
         might take the slow path (or the batch-completion time when the
         batch ends first — the frontend's next event can be no earlier).
-        """
-        t = batch.time
-        if not self._fast_on or self.ff_active or "access" in self.__dict__:
-            return t
-        kbase = KERNEL_BASE
-        ktable_get = self._kernel_table.get
-        sp = self._spaces.get(pid)
-        utable_get = sp.table.get if sp is not None else None
-        pshift = self._page_shift
-        pmask = self._page_mask
-        shift = self._line_shift
-        states_get = self._l1_states[cpu].get
-        l1_lat = self._l1_latency
-        kinds = batch.kinds
-        addrs = batch.addrs
-        sizes = batch.sizes
-        pends = batch.pendings
-        i = batch.cursor
-        n = batch.n
-        while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                ppn = None
-            if ppn is None:
-                return t
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> shift
-            last = (paddr + (sizes[i] or 1) - 1) >> shift
-            nlines = 0
-            while line <= last:
-                st = states_get(line)
-                if st is None or (k != 0 and st < _EXCLUSIVE):
-                    return t
-                line += 1
-                nlines += 1
-            lat = l1_lat * nlines
-            if k == 2:
-                lat += 4
-            t += lat
-            i += 1
-            if i >= n:
-                return t
-            nt = t + pends[i]
-            if nt >= cap:
-                return cap
-            t = nt
-
-    def invisible_frontier(self, pid: int, cpu: int, batch, cap: int,
-                           memo: dict) -> int:
-        """Memoized :meth:`invisible_until`: resume the walk per filling.
 
         Speculative validation re-qualifies the same rival batches window
         after window with growing caps, so the O(refs) walk is amortised by
@@ -442,13 +432,8 @@ class MemorySystem:
                    serial=None, uhint=None):
         """Service a run of batched references in one loop.
 
-        Replays exactly the sequence of :meth:`access` calls the engine's
-        per-reference loop would make: the reference at ``i`` issues at
-        ``t``; each later reference issues at the previous completion time
-        plus its pending cycles, and is consumed only while that stays
-        below ``horizon`` and fewer than ``limit`` references were served.
-        ``clock`` (the engine's global scheduler) is advanced to each
-        reference's issue time, exactly as the per-event loop does.
+        Bit-identical to :func:`run_each` over :meth:`access` (same issue
+        times, cuts and clock advances), which is what it runs when tapped.
         Returns ``(consumed, i, t, added_latency, major_fault, ext_refs)``
         with ``i`` and ``t`` at the stop point (on a fault, the faulting
         reference's index and issue time).
@@ -464,37 +449,18 @@ class MemorySystem:
 
         When a tracing tap has rebound ``access`` on the instance (e.g.
         :class:`~repro.traces.memtrace.MemTraceRecorder`), every reference
-        is delegated through it so taps observe the full stream — and the
-        extension is ignored (taps must see the strict interleaving);
-        otherwise the L1 fast path is inlined here, which is the
-        simulator's hottest loop.
+        goes through it via :func:`run_each` so taps observe the full
+        stream — and the extension is ignored (taps must see the strict
+        interleaving); otherwise the L1 fast path is inlined here, which is
+        the simulator's hottest loop.
         """
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
-        access = self.access
-        consumed = 0
-        added = 0
         if "access" in self.__dict__ or not self._fast_on:
             # tapped (or filter disabled): preserve the per-reference call
             # stream through the instance attribute
-            while True:
-                k = kinds[i]
-                if clock is not None and t > clock.now:
-                    clock.now = t
-                lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu,
-                                    t, atomic=(k == 2))
-                consumed += 1
-                if major is not None:
-                    return consumed, i, t, added, major, 0
-                added += lat
-                t += lat
-                i += 1
-                if i >= n or consumed >= limit:
-                    return consumed, i, t, added, None, 0
-                nt = t + pends[i]
-                if nt >= horizon:
-                    return consumed, i, t, added, None, 0
-                t = nt
+            return run_each(self.access, pid, cpu, kinds, addrs, sizes,
+                            pends, i, n, t, limit, horizon, clock)
         if self.ff_active:
             # sampled fast-forward window: functional warming, constant
             # calibrated latency, strict horizon (no lookahead extension)
@@ -674,12 +640,13 @@ class MemorySystem:
         self.ff_active = False
 
     def _ff_access(self, pid: int, vaddr: int, size: int, write: bool,
-                   cpu: int, atomic: bool = False):
+                   cpu: int, now: int, atomic: bool = False):
         """One reference in fast-forward: translate (faults still surface),
         warm L1/L2 contents, charge the calibrated constant latency. The
         coherence protocol is *not* consulted — its guards tolerate the
         resulting stale directory entries, and the next detail window
-        re-establishes precise sharing state on miss."""
+        re-establishes precise sharing state on miss. ``now`` is unused; it
+        keeps :meth:`access`'s signature so :func:`run_each` can drive it."""
         paddr, major, minor = self.vmm.translate(pid, vaddr, write, cpu)
         if major is not None:
             return 0, major
@@ -763,25 +730,10 @@ class MemorySystem:
                 m = rem
             if np_ is None or m < 8:
                 # scalar tail (same stream the per-event loop would make)
-                while True:
-                    k = kinds[i]
-                    if clock is not None and t > clock.now:
-                        clock.now = t
-                    lat, major = self._ff_access(
-                        pid, addrs[i], sizes[i], k != 0, cpu,
-                        atomic=(k == 2))
-                    consumed += 1
-                    if major is not None:
-                        return consumed, i, t, added, major, 0
-                    added += lat
-                    t += lat
-                    i += 1
-                    if i >= n or consumed >= limit:
-                        return consumed, i, t, added, None, 0
-                    nt = t + pends[i]
-                    if nt >= horizon:
-                        return consumed, i, t, added, None, 0
-                    t = nt
+                c, i, t, lat, major, _ = run_each(
+                    self._ff_access, pid, cpu, kinds, addrs, sizes, pends,
+                    i, n, t, limit - consumed, horizon, clock)
+                return consumed + c, i, t, added + lat, major, 0
             if uhint is not None:
                 a = addrs[i] + uhint[1] * np_.arange(m, dtype=np_.int64)
             else:
@@ -801,80 +753,70 @@ class MemorySystem:
             if seg == 0:
                 # first ref needs page allocation (or major-faults): take
                 # the scalar path for it, then rescan the rest
-                k = kinds[i]
-                if clock is not None and t > clock.now:
-                    clock.now = t
-                lat, major = self._ff_access(pid, addrs[i], sizes[i],
-                                             k != 0, cpu, atomic=(k == 2))
-                consumed += 1
+                c, i, t, lat, major, _ = run_each(
+                    self._ff_access, pid, cpu, kinds, addrs, sizes, pends,
+                    i, n, t, 1, horizon, clock)
+                consumed += c
+                added += lat
                 if major is not None:
                     return consumed, i, t, added, major, 0
-                added += lat
-                t += lat
-                i += 1
-                if i >= n or consumed >= limit:
-                    return consumed, i, t, added, None, 0
-                nt = t + pends[i]
-                if nt >= horizon:
-                    return consumed, i, t, added, None, 0
-                t = nt
-                continue
-            shift = self._line_shift
-            paddr = (ppn[:seg] << pshift) | (a[:seg] & self._page_mask)
-            line0 = paddr >> shift
-            if uhint is not None:
-                k0, stride, wpl = uhint
-                line1 = (paddr + ((stride or 1) - 1)) >> shift
             else:
-                k = np_.array(kinds[i:i + seg], dtype=np_.int64)
-                sz = np_.array(sizes[i:i + seg], dtype=np_.int64)
-                line1 = (paddr + np_.maximum(sz, 1) - 1) >> shift
-            nl = line1 - line0 + 1
-            lat = np_.full(seg, self._ff_base, dtype=np_.int64)
-            fr = self._ff_frac
-            if fr > 0.0:
-                e0 = self._ff_err
-                grid = np_.floor(e0 + fr * np_.arange(1, seg + 1))
-                lat += np_.diff(np_.concatenate(([0.0], grid))
-                                ).astype(np_.int64)
-            if uhint is not None:
-                if k0 == 2:
-                    lat += 4
-            else:
-                lat[k == 2] += 4
-            if seg > 1:
+                shift = self._line_shift
+                paddr = (ppn[:seg] << pshift) | (a[:seg] & self._page_mask)
+                line0 = paddr >> shift
                 if uhint is not None:
-                    steps = lat[:-1] + wpl
+                    k0, stride, wpl = uhint
+                    line1 = (paddr + ((stride or 1) - 1)) >> shift
                 else:
-                    steps = lat[:-1] + np_.array(pends[i + 1:i + seg],
-                                                 dtype=np_.int64)
-                issue = np_.empty(seg, dtype=np_.int64)
-                issue[0] = 0
-                np_.cumsum(steps, out=issue[1:])
-                issue += t
-            else:
-                issue = np_.array([t], dtype=np_.int64)
-            c = seg
-            cut = int(np_.searchsorted(issue, horizon, side="left"))
-            if cut < 1:
-                cut = 1
-            if cut < c:
-                c = cut
-            wr = (np_.full(c, k0 != 0, dtype=bool) if uhint is not None
-                  else (k[:c] != 0))
-            self._ff_warm(cpu, line0[:c], nl[:c], wr)
-            self.accesses += c
-            self.ff_refs += c
-            if fr > 0.0:
-                tot = self._ff_err + fr * c
-                self._ff_err = tot - int(tot)
-            last_issue = int(issue[c - 1])
-            if clock is not None and last_issue > clock.now:
-                clock.now = last_issue
-            added += int(lat[:c].sum())
-            t = last_issue + int(lat[c - 1])
-            consumed += c
-            i += c
+                    k = np_.array(kinds[i:i + seg], dtype=np_.int64)
+                    sz = np_.array(sizes[i:i + seg], dtype=np_.int64)
+                    line1 = (paddr + np_.maximum(sz, 1) - 1) >> shift
+                nl = line1 - line0 + 1
+                lat = np_.full(seg, self._ff_base, dtype=np_.int64)
+                fr = self._ff_frac
+                if fr > 0.0:
+                    e0 = self._ff_err
+                    grid = np_.floor(e0 + fr * np_.arange(1, seg + 1))
+                    lat += np_.diff(np_.concatenate(([0.0], grid))
+                                    ).astype(np_.int64)
+                if uhint is not None:
+                    if k0 == 2:
+                        lat += 4
+                else:
+                    lat[k == 2] += 4
+                if seg > 1:
+                    if uhint is not None:
+                        steps = lat[:-1] + wpl
+                    else:
+                        steps = lat[:-1] + np_.array(pends[i + 1:i + seg],
+                                                     dtype=np_.int64)
+                    issue = np_.empty(seg, dtype=np_.int64)
+                    issue[0] = 0
+                    np_.cumsum(steps, out=issue[1:])
+                    issue += t
+                else:
+                    issue = np_.array([t], dtype=np_.int64)
+                c = seg
+                cut = int(np_.searchsorted(issue, horizon, side="left"))
+                if cut < 1:
+                    cut = 1
+                if cut < c:
+                    c = cut
+                wr = (np_.full(c, k0 != 0, dtype=bool) if uhint is not None
+                      else (k[:c] != 0))
+                self._ff_warm(cpu, line0[:c], nl[:c], wr)
+                self.accesses += c
+                self.ff_refs += c
+                if fr > 0.0:
+                    tot = self._ff_err + fr * c
+                    self._ff_err = tot - int(tot)
+                last_issue = int(issue[c - 1])
+                if clock is not None and last_issue > clock.now:
+                    clock.now = last_issue
+                added += int(lat[:c].sum())
+                t = last_issue + int(lat[c - 1])
+                consumed += c
+                i += c
             if i >= n or consumed >= limit:
                 return consumed, i, t, added, None, 0
             nt = t + pends[i]

@@ -17,9 +17,11 @@ import pytest
 
 from repro import (Engine, SimulatedCrash, checkpoint_exists,
                    complex_backend, resume)
-from repro.core.config import ConfigError, SimConfig
+from repro.core import engine as engine_mod
+from repro.core.config import SimConfig
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
+from repro.mem.hierarchy import MemorySystem
 from repro.traces.memtrace import MemTraceRecorder
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS
@@ -49,6 +51,10 @@ def test_speculation_bit_identical(name):
     snap_on, eng_on = _run(build, speculate=True)
     snap_off, eng_off = _run(build, **STRICT)
     assert snap_on == snap_off
+    # a window opens only when its first reference is invisible, so every
+    # window consumes something and then commits or rolls back
+    bs = eng_on.batch_stats
+    assert bs["sp_windows"] == bs["sp_commits"] + bs["sp_rollbacks"]
     # the strict run must never open a window
     assert eng_off.batch_stats["sp_windows"] == 0
     assert eng_off.batch_stats["sp_refs"] == 0
@@ -101,7 +107,7 @@ def test_speculation_engages_and_commits():
     assert bs["la_windows"] == 0
 
 
-def test_speculation_rollback_restores_bit_identity():
+def test_speculation_rollback_restores_bit_identity(monkeypatch):
     """Force every validation to fail: all windows roll back, and the
     results still match the strict schedule exactly (rollback must be a
     perfect undo)."""
@@ -116,7 +122,7 @@ def test_speculation_rollback_restores_bit_identity():
         return strict
     eng.comm.speculation_bound = always_violate.__get__(eng.comm)
     # keep speculating even after consecutive rollbacks
-    eng._spec_max_rollbacks = 0
+    monkeypatch.setattr(engine_mod, "SPEC_MAX_ROLLBACKS", 1 << 30)
     stats = eng.run()
     snap = _snapshot(eng, stats)
     snap_off, _ = _run(_private_heavy, **STRICT)
@@ -126,39 +132,80 @@ def test_speculation_rollback_restores_bit_identity():
     assert bs["sp_commits"] == 0
 
 
-def test_adaptive_quantum_and_stand_down():
-    """The quantum stays within its adaptive bounds, and a run capped at
-    one consecutive rollback stands down permanently — without affecting
-    the simulated results."""
+def test_adaptive_quantum_and_stand_down(monkeypatch):
+    """The quantum starts at the lookahead window and stays within its
+    adaptive bounds, and a run capped at one consecutive rollback stands
+    down permanently — without affecting the simulated results."""
+    eng = Engine(complex_backend(num_cpus=2))
+    assert eng._spec_quantum == eng._lookahead_cycles
     snap_on, eng_on = _run(_private_heavy, speculate=True)
     assert (eng_on._spec_quantum_min <= eng_on._spec_quantum
             <= eng_on._spec_quantum_max)
     bs = eng_on.batch_stats
-    assert bs["sp_commits"] + bs["sp_rollbacks"] <= bs["sp_windows"]
+    assert bs["sp_commits"] + bs["sp_rollbacks"] == bs["sp_windows"]
 
-    snap_capped, eng_capped = _run(_private_heavy, speculate=True,
-                                   speculate_max_rollbacks=1)
+    monkeypatch.setattr(engine_mod, "SPEC_MAX_ROLLBACKS", 1)
+    snap_capped, eng_capped = _run(_private_heavy, speculate=True)
     assert snap_capped == snap_on
     if eng_capped.batch_stats["sp_rollbacks"]:
         assert not eng_capped._spec_on
 
 
-def test_speculate_quantum_knob():
-    """An explicit quantum is honoured as the starting window size."""
-    SimProcess._next_pid[0] = 1
-    eng = Engine(complex_backend(num_cpus=2, speculate=True,
-                                 speculate_quantum=512))
-    assert eng._spec_quantum == 512
-    snap_q, _ = _run(_private_heavy, speculate=True, speculate_quantum=512)
-    snap_off, _ = _run(_private_heavy, **STRICT)
-    assert snap_q == snap_off
-
-
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(num_cpus=1, speculate_quantum=-1).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(num_cpus=1, speculate_max_rollbacks=-1).validate()
+    """The removed knobs fail loudly instead of being ignored."""
+    for knob in ("lookahead_cycles", "speculate_quantum",
+                 "speculate_max_rollbacks", "instrument_default"):
+        with pytest.raises(TypeError):
+            SimConfig(num_cpus=1, **{knob: 1})
+
+
+def _sharing(cfg):
+    """4 CPUs mostly re-touching private buffers, each also writing its own
+    slots of one shared segment: the write invalidations revoke rivals'
+    invisibility rights mid-run, so memoised walks must notice the moved
+    cache versions."""
+    eng = Engine(cfg(num_cpus=4, coherence="mesi", num_nodes=1))
+
+    def make_app(c):
+        base = 0x1_0000 + c * 0x10_000
+
+        def app(p):
+            r = yield from p.call("shmget", 0x5EED, 8192)
+            r = yield from p.call("shmat", r.value)
+            shared = r.value
+            for _ in range(12):
+                yield from p.touch(base, 8192, write=True, stride=32,
+                                   work_per_line=2)
+                yield from p.touch(shared + c * 64, 4096, write=True,
+                                   stride=256)
+            yield from p.exit(0)
+        return app
+
+    for c in range(4):
+        eng.spawn(f"s{c}", make_app(c))
+    return eng
+
+
+@pytest.mark.parametrize("build", [_private_heavy, _sharing,
+                                   FAULT_OFF_WORKLOADS["dss"]],
+                         ids=["private_heavy", "sharing", "dss"])
+def test_memoised_frontier_is_sound(monkeypatch, build):
+    """A resumed (memoised) invisibility walk never claims more than a
+    fresh walk at the same call: a bound that is too large could commit a
+    window a rival could have seen into."""
+    orig = MemorySystem.invisible_frontier
+    resumed = []
+
+    def checked(self, pid, cpu, batch, cap, memo):
+        had = pid in memo
+        got = orig(self, pid, cpu, batch, cap, memo)
+        assert got <= orig(self, pid, cpu, batch, cap, {})
+        resumed.append(had)
+        return got
+
+    monkeypatch.setattr(MemorySystem, "invisible_frontier", checked)
+    _run(build, speculate=True)
+    assert any(resumed)
 
 
 # ---------------------------------------------------------------------------
