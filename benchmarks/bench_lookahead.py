@@ -4,14 +4,13 @@ The lookahead scheduler (``SimConfig.lookahead``) lets the batched hot
 loop drain invisible references past the strict rival horizon, and lets
 ``ParallelEngine`` workers pre-time fast-path stretches under a lease.
 Both are bit-identical to the strict path (tests/test_lookahead_equivalence).
-This bench measures what they buy on the configuration they target: a
-4-CPU run where every CPU streams over a *private*, L1-resident buffer —
+This bench measures what the inline windows buy on the configuration they
+target: a 4-CPU run where every CPU streams over a *private*, L1-resident buffer —
 all references qualify as invisible, so the strict path's tiny alternating
 batch windows are pure scheduling overhead.
 
 Writes ``BENCH_lookahead.json`` at the repo root with wall-clock seconds,
-events/second, the on/off speedup, and a ``worker_batch`` sweep for the
-parallel engine; asserts the windows are at least 2x faster than the
+events/second and the on/off speedup; asserts the windows are at least 2x faster than the
 strict interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed
 setup costs dominate).
 
@@ -45,27 +44,7 @@ NCPUS = 4
 NBYTES = 8192           # per-CPU buffer: L1-resident, so warm passes stay hits
 PASSES = 40 if QUICK else 150
 MIN_SPEEDUP = 1.3 if QUICK else 2.0
-SWEEP_BATCHES = (16, 64, 256)
 OUT_PATH = REPO_ROOT / "BENCH_lookahead.json"
-
-#: worker program for the parallel sweep: re-scans a private 8 KiB buffer
-HOT_PROG = """
-    li r7, 0
-    li r8, {passes}
-    li r10, 0x100000
-pass:
-    li r1, 0
-    li r2, 8192
-loop:
-    loadx r3, r10, r1, 4
-    storex r3, r10, r1, 4
-    addi r1, r1, 32
-    blt r1, r2, loop
-    addi r7, r7, 1
-    blt r7, r8, pass
-    li r3, 0
-    halt
-"""
 
 
 def _run_once(lookahead, passes=PASSES):
@@ -112,43 +91,7 @@ def _measure(rounds, passes=PASSES):
     return best[True], best[False]
 
 
-def _sweep_worker_batch(passes):
-    """ParallelEngine throughput across worker_batch sizes (leases on).
-
-    The sweep is host-side only — simulated results must not move — so the
-    end cycle doubles as a correctness check across the knob values.
-    """
-    from repro.host import ParallelEngine, WorkerSpec
-    # staggered pass counts: the short worker finishes early, leaving the
-    # long one running solo — the steady state where leases engage (two
-    # lockstep workers keep each other's windows below the grant minimum)
-    progs = [HOT_PROG.format(passes=passes),
-             HOT_PROG.format(passes=max(1, passes // 4))]
-    rows = []
-    end_cycles = set()
-    for wb in SWEEP_BATCHES:
-        SimProcess._next_pid[0] = 1
-        eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=4,
-                                             worker_batch=wb,
-                                             speculate=False))
-        with eng:
-            for i, prog in enumerate(progs):
-                eng.spawn_worker(WorkerSpec(f"w{i}", prog))
-            t0 = time.perf_counter()
-            stats = eng.run()
-            secs = time.perf_counter() - t0
-        end_cycles.add(stats.end_cycle)
-        rows.append({"worker_batch": wb, "seconds": secs,
-                     "events": eng.events_processed,
-                     "events_per_sec": eng.events_processed / secs,
-                     "end_cycle": stats.end_cycle,
-                     "lease_refs": eng.batch_stats["lease_refs"]})
-    assert len(end_cycles) == 1, \
-        f"worker_batch changed the simulation: {sorted(end_cycles)}"
-    return rows
-
-
-def _report(on, off, sweep=None, write=True):
+def _report(on, off, write=True):
     (on_s, on_eng, on_stats), (off_s, off_eng, off_stats) = on, off
     fp_on, fp_off = _fingerprint(on_eng, on_stats), \
         _fingerprint(off_eng, off_stats)
@@ -169,13 +112,6 @@ def _report(on, off, sweep=None, write=True):
     print(f"  speedup: {speedup:.2f}x   windows: {bs['la_windows']}   "
           f"extended refs: {bs['la_refs']}   "
           f"batches: {bs['batches']} vs {off_eng.batch_stats['batches']}")
-    if sweep:
-        print(render_table(
-            ("worker_batch", "host seconds", "events/s", "lease refs"),
-            [(str(r["worker_batch"]), f"{r['seconds']:.3f}",
-              f"{r['events_per_sec']:,.0f}", str(r["lease_refs"]))
-             for r in sweep],
-            title="\nworker_batch sweep (2 workers, leases on):"))
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
@@ -189,7 +125,6 @@ def _report(on, off, sweep=None, write=True):
         "speedup": speedup,
         "la_windows": bs["la_windows"],
         "la_refs": bs["la_refs"],
-        "worker_batch_sweep": sweep or [],
     }
     if write:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -199,8 +134,7 @@ def _report(on, off, sweep=None, write=True):
 def test_lookahead_speedup(benchmark):
     on, off = benchmark.pedantic(
         lambda: _measure(2 if QUICK else 3), rounds=1, iterations=1)
-    sweep = _sweep_worker_batch(passes=10 if QUICK else 40)
-    speedup, payload = _report(on, off, sweep)
+    speedup, payload = _report(on, off)
     benchmark.extra_info.update(speedup=speedup,
                                 la_refs=payload["la_refs"])
     assert speedup >= MIN_SPEEDUP, \
@@ -221,8 +155,7 @@ def main(argv=None) -> int:
         print(f"smoke ok: bit-identical, {speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)
-    sweep = _sweep_worker_batch(passes=40)
-    speedup, _ = _report(on, off, sweep)
+    speedup, _ = _report(on, off)
     if speedup < MIN_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x < {MIN_SPEEDUP}x",
               file=sys.stderr)

@@ -3,9 +3,8 @@
 The engine reaches the memory system only through ``engine.memsys``, so a
 delegating wrapper captures (or substitutes) the full reply stream without
 touching the hierarchy itself. Both wrappers run batched references through
-the per-reference loop ``run_each`` — the one the tapped hierarchy runs,
-already proven bit-identical to the inlined hot loop by the fast-path
-equivalence tests — so recording changes no timing.
+the per-reference loop ``run_each`` without its lookahead probe — the strict
+loop the tapped hierarchy runs — so recording changes no timing.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ backend over a pipe:
 Worker-side pre-timing (leases)
 -------------------------------
 With ``SimConfig.lookahead`` on, a worker that has streamed
-``SimConfig.worker_lease`` consecutive full fire-and-forget batches sends a
+``LEASE_EVERY`` consecutive full fire-and-forget batches sends a
 lease request (``"lr"``) and blocks. When the simulation reaches that stream
 position the proxy either denies (``"ld"``) or grants (``"lg"``) a window
 ``[t0, T)`` together with a read-only snapshot of the worker's own L1 state
@@ -75,9 +75,12 @@ from ..mem.hierarchy import KERNEL_BASE, MemorySystem
 
 #: sentinel yielded by the proxy while its worker computes ahead
 COMPUTING = object()
-#: default worker-side batch size for fire-and-forget events (the live
-#: value comes from ``SimConfig.worker_batch``)
+#: worker-side batch size for fire-and-forget events (events per pipe
+#: message; host-side grouping only, timing-neutral)
 BATCH = 64
+#: consecutive full fire-and-forget batches before a worker asks for a
+#: lease (leases also require ``SimConfig.lookahead``)
+LEASE_EVERY = 4
 #: run-loop rounds between non-blocking pipe drains (keeps OS pipe
 #: buffers from filling while no worker is starved)
 HARVEST_EVERY = 512
@@ -339,14 +342,8 @@ class ParallelEngine(Engine):
         self._workers: Dict[int, _Worker] = {}
         self._ctx = mp.get_context("fork")
         # -- worker-side pre-timing (lookahead layer 2) -------------------
-        self._worker_batch = max(1, getattr(cfg, "worker_batch", BATCH))
         self._lease_on = bool(getattr(cfg, "lookahead", True)
-                              and getattr(cfg, "worker_lease", 0)
                               and self.memsys._fast_on)
-        #: consecutive full fire-and-forget batches before a worker asks
-        #: for a lease (0 = workers never ask)
-        self._worker_lease = (getattr(cfg, "worker_lease", 0)
-                              if self._lease_on else 0)
         #: a granted window shorter than this is not worth the snapshot
         self.lease_min_window = 64
         #: pre-timed events to drain from the run loop's event budget
@@ -398,7 +395,7 @@ class ParallelEngine(Engine):
             target=_worker_main,
             args=(child, w.spec.name, w.spec.program_text, w.spec.segments,
                   w.spec.regs, self._affinity, self._frontend_translate,
-                  self._worker_batch, self._worker_lease),
+                  BATCH, LEASE_EVERY if self._lease_on else 0),
             daemon=True)
         p.start()
         child.close()

@@ -33,38 +33,55 @@ _MODIFIED = 3
 
 def run_each(access, pid: int, cpu: int, kinds: list, addrs: list,
              sizes: list, pends: list, i: int, n: int, t: int, limit: int,
-             horizon: int, clock):
+             horizon: int, clock, ext: int = 0, probe=None):
     """The per-reference loop: one ``access`` call per batched reference.
 
     The reference at ``i`` issues at ``t``; each later reference issues at
     the previous completion time plus its pending cycles, and is consumed
-    only while that stays below ``horizon`` and fewer than ``limit``
+    only while that stays below the stop bound and fewer than ``limit``
     references were served. ``clock`` (the engine's global scheduler) is
     advanced to each reference's issue time, exactly as the per-event loop
-    does. ``access`` has :meth:`MemorySystem.access`'s signature; tapped
-    runs, checkpoint record/replay and the fast-forward tails all go
-    through here. Returns :meth:`MemorySystem.access_run`'s tuple, with no
-    references past the strict horizon.
+    does. ``access`` has :meth:`MemorySystem.access`'s signature. Returns
+    :meth:`MemorySystem.access_run`'s tuple.
+
+    Without a ``probe`` the stop bound is the strict ``horizon``; tapped
+    runs, checkpoint record/replay and the fast-forward tails run that way.
+    With one (:meth:`MemorySystem.ref_invisible_latency`'s signature) the
+    run may continue to the lookahead bound ``ext``, but a reference issuing
+    at or past ``horizon`` is consumed only when the probe says it stays
+    invisible; the first one that does not is returned unconsumed, with
+    ``t`` back at the previous completion, and ``ext_refs`` counts the
+    references consumed past ``horizon``.
     """
+    if probe is None or ext < horizon:
+        ext = horizon
     consumed = 0
     added = 0
+    ext_refs = 0
     while True:
         k = kinds[i]
         if clock is not None and t > clock.now:
             clock.now = t
+        if probe is not None and t >= horizon:
+            if probe(pid, cpu, k, addrs[i], sizes[i]) < 0:
+                # lookahead zone: the slow path could be observed by the
+                # rival whose qualified window justified the extension —
+                # cut here, undoing the lead-in pending folded into t
+                return consumed, i, t - pends[i], added, None, ext_refs
+            ext_refs += 1
         lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu, t,
                             atomic=(k == 2))
         consumed += 1
         if major is not None:
-            return consumed, i, t, added, major, 0
+            return consumed, i, t, added, major, ext_refs
         added += lat
         t += lat
         i += 1
         if i >= n or consumed >= limit:
-            return consumed, i, t, added, None, 0
+            return consumed, i, t, added, None, ext_refs
         nt = t + pends[i]
-        if nt >= horizon:
-            return consumed, i, t, added, None, 0
+        if nt >= ext:
+            return consumed, i, t, added, None, ext_refs
         t = nt
 
 
@@ -325,7 +342,8 @@ class MemorySystem:
         predicate: it then mutates only issuer-private state (own LRU order,
         E->M flips of lines no peer holds, commutative counters), so any
         interleaving of invisible references from different frontends is
-        bit-identical to the strict order. The walk is read-only (no LRU
+        bit-identical to the strict order. The walk qualifies each
+        reference with the read-only :meth:`ref_invisible_latency` (no LRU
         promotion, no counters) and chains the same issue-time arithmetic
         as :meth:`access_run`. Returns ``cap`` when the whole prefix up to
         ``cap`` qualifies, else the issue time of the first reference that
@@ -369,49 +387,17 @@ class MemorySystem:
         else:
             ent = [serial, l1v, kv, spv, i, t, None]
             memo[pid] = ent
-        kbase = KERNEL_BASE
-        ktable_get = self._kernel_table.get
-        utable_get = sp.table.get if sp is not None else None
-        pshift = self._page_shift
-        pmask = self._page_mask
-        shift = self._line_shift
-        states_get = self._l1_states[cpu].get
-        l1_lat = self._l1_latency
+        probe = self.ref_invisible_latency
         kinds = batch.kinds
         addrs = batch.addrs
         sizes = batch.sizes
         pends = batch.pendings
         n = batch.n
         while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                ppn = None
-            if ppn is None:
+            lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
+            if lat < 0:
                 ent[6] = t
                 return t
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> shift
-            last = (paddr + (sizes[i] or 1) - 1) >> shift
-            nlines = 0
-            ok = True
-            while line <= last:
-                st = states_get(line)
-                if st is None or (k != 0 and st < _EXCLUSIVE):
-                    ok = False
-                    break
-                line += 1
-                nlines += 1
-            if not ok:
-                ent[6] = t
-                return t
-            lat = l1_lat * nlines
-            if k == 2:
-                lat += 4
             t += lat
             i += 1
             if i >= n:
@@ -430,29 +416,29 @@ class MemorySystem:
                    sizes: list, pends: list, i: int, n: int, t: int,
                    limit: int, horizon: int, ext: int = 0, clock=None,
                    serial=None, uhint=None):
-        """Service a run of batched references in one loop.
+        """Service a run of batched references.
 
-        Bit-identical to :func:`run_each` over :meth:`access` (same issue
-        times, cuts and clock advances), which is what it runs when tapped.
-        Returns ``(consumed, i, t, added_latency, major_fault, ext_refs)``
-        with ``i`` and ``t`` at the stop point (on a fault, the faulting
-        reference's index and issue time).
+        Every reference is retired by :meth:`access` through
+        :func:`run_each` (or in bulk by the vec and fast-forward paths,
+        bit-identically). Returns ``(consumed, i, t, added_latency,
+        major_fault, ext_refs)`` with ``i`` and ``t`` at the stop point (on
+        a fault, the faulting reference's index and issue time).
 
         ``ext`` is the engine's conservative lookahead horizon: when it
         exceeds ``horizon``, references issuing in ``[horizon, ext)`` may
-        also be consumed — but only while they stay *invisible* (resolve on
-        the inlined L1 fast path); the first reference at or past
-        ``horizon`` that would need the slow path cuts the run unconsumed,
-        because slow-path effects at those cycles could be observed by the
-        rival whose qualified window justified the extension. ``ext_refs``
-        counts references consumed beyond the strict horizon.
+        also be consumed — but only while :meth:`ref_invisible_latency`
+        says they stay *invisible* (resolve on the L1 fast path); the first
+        reference at or past ``horizon`` that would need the slow path cuts
+        the run unconsumed, because slow-path effects at those cycles could
+        be observed by the rival whose qualified window justified the
+        extension. ``ext_refs`` counts references consumed beyond the
+        strict horizon.
 
         When a tracing tap has rebound ``access`` on the instance (e.g.
-        :class:`~repro.traces.memtrace.MemTraceRecorder`), every reference
-        goes through it via :func:`run_each` so taps observe the full
-        stream — and the extension is ignored (taps must see the strict
-        interleaving); otherwise the L1 fast path is inlined here, which is
-        the simulator's hottest loop.
+        :class:`~repro.traces.memtrace.MemTraceRecorder`), or the filter is
+        off, the run is the strict :func:`run_each` over the instance
+        ``access``: taps observe the full stream, and the extension is
+        ignored (taps must see the strict interleaving).
         """
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
@@ -495,126 +481,11 @@ class MemorySystem:
                            addrs: list, sizes: list, pends: list, i: int,
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
-        """The untapped scalar hot loop: locals bound once, fast path
-        inlined; any reference the filter declines goes through the normal
-        access() (which re-probes, counts the fallback, and walks the full
-        path)."""
-        access = self.access
-        consumed = 0
-        added = 0
-        if ext < horizon:
-            ext = horizon
-        ext_refs = 0
-        kbase = KERNEL_BASE
-        ktable_get = self._kernel_table.get
-        spaces_get = self._spaces.get
-        # pid is constant for the run; the space's table dict is mutated in
-        # place by the fallback path (minor faults), never replaced mid-run,
-        # so its bound .get stays valid. A space that does not exist yet can
-        # be created by a fallback access, so retry the lookup until found.
-        sp = spaces_get(pid)
-        utable_get = sp.table.get if sp is not None else None
-        pshift = self._page_shift
-        pmask = self._page_mask
-        shift = self._line_shift
-        states = self._l1_states[cpu]
-        states_get = states.get
-        sets = self._l1_sets[cpu]
-        mask = self._l1_set_mask
-        nsets = self._l1_nsets
-        l1 = self.l1s[cpu]
-        l2s = self._l2_states[cpu] if self._l2_states is not None else None
-        l1_lat = self._l1_latency
-        while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if clock is not None and t > clock.now:
-                clock.now = t
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                sp = spaces_get(pid)
-                if sp is not None:
-                    utable_get = sp.table.get
-                    ppn = utable_get(vaddr >> pshift)
-                else:
-                    ppn = None
-            lat = -1
-            if ppn is not None:
-                paddr = (ppn << pshift) | (vaddr & pmask)
-                line = paddr >> shift
-                size = sizes[i]
-                last = (paddr + (size or 1) - 1) >> shift
-                if line == last:
-                    st = states_get(line)
-                    if st is not None and (k == 0 or st >= 2):
-                        l1.hits += 1
-                        s = sets[line & mask if mask >= 0 else line % nsets]
-                        if s[0] != line:
-                            s.remove(line)
-                            s.insert(0, line)
-                        if k != 0 and st == 2:   # EXCLUSIVE -> MODIFIED
-                            states[line] = 3
-                            if l2s is not None and line in l2s:
-                                l2s[line] = 3
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = l1_lat + 4 if k == 2 else l1_lat
-                else:
-                    ok = True
-                    sts = []
-                    l = line
-                    while l <= last:
-                        st = states_get(l)
-                        if st is None or (k != 0 and st < 2):
-                            ok = False
-                            break
-                        sts.append(st)
-                        l += 1
-                    if ok:
-                        nlines = last - line + 1
-                        l1.hits += nlines
-                        for j in range(nlines):
-                            l = line + j
-                            s = sets[l & mask if mask >= 0 else l % nsets]
-                            if s[0] != l:
-                                s.remove(l)
-                                s.insert(0, l)
-                            if k != 0 and sts[j] == 2:
-                                states[l] = 3
-                                if l2s is not None and l in l2s:
-                                    l2s[l] = 3
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = l1_lat * nlines
-                        if k == 2:
-                            lat += 4
-            if lat < 0:
-                if t >= horizon:
-                    # lookahead zone: this reference would take the slow
-                    # path, which rivals could observe — cut it unconsumed
-                    # (its lead-in pending was folded into t; undo it so
-                    # the engine re-parks the batch at the right time)
-                    return (consumed, i, t - pends[i], added, None,
-                            ext_refs)
-                lat, major = access(pid, vaddr, sizes[i], k != 0, cpu, t,
-                                    atomic=(k == 2))
-                if major is not None:
-                    return consumed + 1, i, t, added, major, ext_refs
-            if t >= horizon:
-                ext_refs += 1
-            consumed += 1
-            added += lat
-            t += lat
-            i += 1
-            if i >= n or consumed >= limit:
-                return consumed, i, t, added, None, ext_refs
-            nt = t + pends[i]
-            if nt >= ext:
-                return consumed, i, t, added, None, ext_refs
-            t = nt
+        """The untapped scalar loop: :func:`run_each` over :meth:`access`,
+        with :meth:`ref_invisible_latency` gating the lookahead extension."""
+        return run_each(self.access, pid, cpu, kinds, addrs, sizes, pends,
+                        i, n, t, limit, horizon, clock, ext,
+                        self.ref_invisible_latency)
 
     # ------------------------------------------------------------------
     # sampled-simulation fast-forward (see core/sampling.py + DESIGN.md)

@@ -90,6 +90,10 @@ class TcpIpStack:
         self._sockets: Dict[int, Socket] = {}
         self._listeners: Dict[int, int] = {}       # port -> sid
         self._conns: Dict[int, Connection] = {}
+        #: data/fin frames that beat their connection's SYN (RX interrupts
+        #: can be serviced out of order on different CPUs), per conn id in
+        #: arrival order; replayed once the SYN creates the connection
+        self._early: Dict[int, List[Frame]] = {}
         self._next_sid = 1
         self._next_conn = 1 << 20                  # local conn ids high
         #: called at TX-complete with (conn_id, nbytes, payload) — the trace
@@ -123,6 +127,7 @@ class TcpIpStack:
                                   list(c.fin_seen), list(c.sids), c.remote,
                                   c.bytes_in, c.bytes_out)
                       for c in self._conns.values()},
+            "early": {cid: len(q) for cid, q in self._early.items()},
         }
 
     def load_state(self, state: dict) -> None:
@@ -339,6 +344,7 @@ class TcpIpStack:
         if kind == "syn":
             _, conn_id, port = payload
             sid = self._listeners.get(port)
+            early = self._early.pop(conn_id, ())
             if sid is None:
                 return   # connection refused: silently dropped in the model
             conn = Connection(conn_id, remote=True)
@@ -346,10 +352,15 @@ class TcpIpStack:
             s = self.get(sid)
             s.accept_q.append(conn_id)
             self._wake(s)
+            for f in early:
+                self._input(f)
         elif kind == "data":
             _, conn_id, data = payload
             conn = self._conns.get(conn_id)
             if conn is None:
+                # connections are never forgotten, so an unknown id means
+                # the SYN is still in flight
+                self._early.setdefault(conn_id, []).append(frame)
                 return
             conn.rx[SERVER].append(data)
             conn.bytes_in += len(data)
@@ -362,6 +373,7 @@ class TcpIpStack:
             conn_id = payload[1]
             conn = self._conns.get(conn_id)
             if conn is None:
+                self._early.setdefault(conn_id, []).append(frame)
                 return
             conn.fin_seen[SERVER] = True
             sid = conn.sids[SERVER]

@@ -1,5 +1,7 @@
 """Memory-system integration tests (translation + caches + protocol)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.config import complex_backend, simple_backend
@@ -218,3 +220,49 @@ def test_access_run_mixed_tapped_untapped(vec):
         tref = want_t + 1_000
     assert ms_run.cache_summary() == ms_ref.cache_summary()
     assert len(seen) == n
+
+
+@pytest.mark.parametrize("vec", [True, False])
+def test_access_run_extension_cut(vec):
+    """References issuing in ``[horizon, ext)`` are consumed while they
+    stay L1 fast-path hits; the first one that would miss comes back
+    unconsumed, with ``t`` at the previous completion, and leaves the
+    caches exactly as the per-reference stream of the consumed prefix."""
+    cfg = complex_backend(num_cpus=2, vectorized=vec)
+    ms_run, ms_ref, ms_tap = make(cfg), make(cfg), make(cfg)
+    n, cold, pend = 12, 8, 5
+    warm = [0x20000 + 64 * j for j in range(n)]
+    addrs = list(warm)
+    addrs[cold] = 0x30000            # never touched: misses L1
+    kinds = [j % 2 for j in range(n)]
+    sizes = [4] * n
+    pends = [0] + [pend] * (n - 1)
+    for ms in (ms_run, ms_ref, ms_tap):
+        _per_ref_mirror(ms, [1] * n, warm, sizes, pends, 0)
+    lat = cfg.backend.l1.latency
+    t0 = 100_000
+    issue = [t0 + j * (lat + pend) for j in range(n)]
+    h, e = issue[4], issue[-1] + 1_000
+
+    clock = SimpleNamespace(now=0)
+    consumed, i, t, added, major, ext_refs = ms_run.access_run(
+        1, 0, kinds, addrs, sizes, pends, 0, n, t0, n, h, e, clock=clock)
+    assert (consumed, i, major) == (cold, cold, None)
+    assert ext_refs == cold - 4          # refs 4..7 issued past h, all hits
+    assert (t, added) == (issue[cold - 1] + lat, cold * lat)
+    assert clock.now == issue[cold]      # advanced to the cut's issue time
+    want_added, want_t = _per_ref_mirror(ms_ref, kinds[:cold], addrs[:cold],
+                                         sizes, pends, t0)
+    assert (added, t) == (want_added, want_t)
+    assert ms_run.accesses == ms_ref.accesses
+    assert ms_run.cache_summary() == ms_ref.cache_summary()
+    assert [c.state_dict() for c in ms_run.l1s + ms_run.l2s] == \
+        [c.state_dict() for c in ms_ref.l1s + ms_ref.l2s]
+
+    # a tap sees the strict interleaving: the extension is ignored
+    real = ms_tap.access
+    ms_tap.access = lambda *a, **kw: real(*a, **kw)
+    consumed, i, t, added, major, ext_refs = ms_tap.access_run(
+        1, 0, kinds, addrs, sizes, pends, 0, n, t0, n, h, e)
+    assert (consumed, i, major, ext_refs) == (4, 4, None, 0)
+    assert t == issue[3] + lat

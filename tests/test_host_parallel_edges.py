@@ -241,4 +241,4 @@ def test_sampled_parallel_run_matches_without_leases():
     assert first[1] == {"detail", "ff"}
     assert leases > 0
     assert run()[0] == first
-    assert run(worker_lease=0)[0] == first
+    assert run(lookahead=False)[0] == first

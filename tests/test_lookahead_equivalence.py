@@ -27,7 +27,7 @@ from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash,
                    checkpoint_exists,
                    complex_backend, resume)
 from repro.core.frontend import SimProcess
-from repro.host import ParallelEngine, WorkerSpec
+from repro.host import ParallelEngine, WorkerSpec, parallel
 from repro.mem.hierarchy import MemorySystem
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS, _fingerprint
@@ -243,29 +243,33 @@ def _run_inline_isa(nworkers=1, prog=HOT_PROG, **cfg_kw):
 
 
 def test_worker_lease_matches_inline_and_strict():
-    snap_lease, eng_lease = _run_parallel(1, worker_lease=4)
-    snap_strict, eng_strict = _run_parallel(1, worker_lease=0)
+    snap_lease, eng_lease = _run_parallel(1)
+    snap_strict, eng_strict = _run_parallel(1, lookahead=False)
     snap_inline, _ = _run_inline_isa(1)
     assert snap_lease == snap_strict == snap_inline
     assert eng_lease.batch_stats["lease_refs"] > 0
     assert eng_strict.batch_stats["leases"] == 0
 
 
-def test_worker_lease_multi_worker_identity():
+def test_worker_lease_multi_worker_identity(monkeypatch):
     """With rival workers the windows shrink to the rival bounds (often
     to nothing) — grant or deny, the results must not move."""
-    snap_lease, eng_lease = _run_parallel(3, worker_lease=2)
-    snap_strict, _ = _run_parallel(3, worker_lease=0)
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 2)
+    snap_lease, eng_lease = _run_parallel(3)
+    snap_strict, _ = _run_parallel(3, lookahead=False)
     assert snap_lease == snap_strict
     bs = eng_lease.batch_stats
     assert bs["leases"] + bs["lease_denied"] > 0
 
 
-def test_worker_batch_knob_is_timing_neutral():
-    """SimConfig.worker_batch only changes host-side message grouping."""
-    snap16, _ = _run_parallel(2, worker_batch=16, worker_lease=0)
-    snap64, _ = _run_parallel(2, worker_batch=64, worker_lease=0)
-    snap128, _ = _run_parallel(2, worker_batch=128, worker_lease=4)
+def test_worker_batch_knob_is_timing_neutral(monkeypatch):
+    """host.parallel.BATCH only changes host-side message grouping."""
+    monkeypatch.setattr(parallel, "BATCH", 16)
+    snap16, _ = _run_parallel(2, lookahead=False)
+    monkeypatch.setattr(parallel, "BATCH", 64)
+    snap64, _ = _run_parallel(2, lookahead=False)
+    monkeypatch.setattr(parallel, "BATCH", 128)
+    snap128, _ = _run_parallel(2)
     assert snap16 == snap64 == snap128
 
 
@@ -282,7 +286,8 @@ def test_worker_killed_after_grant_replays_lease(monkeypatch):
     the supervisor relaunches it, answers the re-sent lease request from
     the recorded reply log (same grant, same snapshot, same drain), and
     the run completes bit-identically to an undisturbed one."""
-    baseline, _ = _run_parallel(1, worker_lease=2)
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 2)
+    baseline, _ = _run_parallel(1)
 
     killed = []
     orig = ParallelEngine._lease_decision
@@ -300,7 +305,7 @@ def test_worker_killed_after_grant_replays_lease(monkeypatch):
 
     monkeypatch.setattr(ParallelEngine, "_lease_decision", killing_decision)
     SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=2))
+    eng = ParallelEngine(complex_backend(num_cpus=1))
     eng.worker_backoff = 0.01
     with eng:
         p = eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
@@ -315,7 +320,8 @@ def test_worker_killed_after_pretimed_apply_replays(monkeypatch):
     consumed: the replay must regenerate and then *discard* the already
     applied drain (it is inside the consumed prefix) instead of applying
     it twice."""
-    baseline, _ = _run_parallel(1, worker_lease=2)
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 2)
+    baseline, _ = _run_parallel(1)
 
     killed = []
     orig = ParallelEngine._apply_pretimed
@@ -332,7 +338,7 @@ def test_worker_killed_after_pretimed_apply_replays(monkeypatch):
 
     monkeypatch.setattr(ParallelEngine, "_apply_pretimed", killing_apply)
     SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=2))
+    eng = ParallelEngine(complex_backend(num_cpus=1))
     eng.worker_backoff = 0.01
     with eng:
         p = eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
@@ -347,25 +353,25 @@ def test_parallel_checkpoint_denies_leases(tmp_path):
     (the reply log), so lease requests are denied — and the checkpointed
     run still matches the lease-off one."""
     path = str(tmp_path / "ck.pkl")
-    snap_ck, eng_ck = _run_parallel(1, worker_lease=4,
-                                    checkpoint_path=path,
+    snap_ck, eng_ck = _run_parallel(1, checkpoint_path=path,
                                     checkpoint_interval=2_000)
-    snap_off, _ = _run_parallel(1, worker_lease=0)
+    snap_off, _ = _run_parallel(1, lookahead=False)
     assert eng_ck.batch_stats["leases"] == 0
     assert snap_ck == snap_off
 
 
-def test_lease_denied_under_bounded_stepping():
+def test_lease_denied_under_bounded_stepping(monkeypatch):
     """run(max_events=...) is used for incremental stepping; a lease
     could overshoot the stop point, so it must be denied."""
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 1)
+    monkeypatch.setattr(parallel, "BATCH", 8)
     SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=1,
-                                         worker_batch=8))
+    eng = ParallelEngine(complex_backend(num_cpus=1))
     with eng:
         eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
         while eng._live > 0:
             eng.run(max_events=500)
         stats = eng.stats
     assert eng.batch_stats["leases"] == 0
-    snap_strict, _ = _run_parallel(1, worker_lease=0)
+    snap_strict, _ = _run_parallel(1, lookahead=False)
     assert _snapshot(eng, stats) == snap_strict

@@ -20,7 +20,7 @@ from repro import (Engine, SimulatedCrash, checkpoint_exists,
 from repro.core import engine as engine_mod
 from repro.core.config import SimConfig
 from repro.core.frontend import SimProcess
-from repro.host import ParallelEngine, WorkerSpec
+from repro.host import ParallelEngine, WorkerSpec, parallel
 from repro.mem.hierarchy import MemorySystem
 from repro.traces.memtrace import MemTraceRecorder
 
@@ -275,32 +275,34 @@ def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
     return _snapshot(eng, stats), eng
 
 
-def test_worker_speculation_multi_worker_identity():
+def test_worker_speculation_multi_worker_identity(monkeypatch):
     """Leases on/off x speculate on/off: workers only ever take the
     conservative lease, so all four arms agree and none speculates."""
-    runs = [_run_parallel(3, worker_lease=lease, speculate=spec)
-            for lease in (2, 0) for spec in (True, False)]
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 2)
+    runs = [_run_parallel(3, lookahead=la, speculate=spec)
+            for la in (True, False) for spec in (True, False)]
     assert all(snap == runs[0][0] for snap, _ in runs)
     assert all(eng.batch_stats["sp_windows"] == 0 for _, eng in runs)
 
 
 def test_parallel_checkpoint_denies_speculation(tmp_path):
     path = str(tmp_path / "ck.pkl")
-    snap_ck, eng_ck = _run_parallel(1, worker_lease=4, speculate=True,
+    snap_ck, eng_ck = _run_parallel(1, speculate=True,
                                     checkpoint_path=path,
                                     checkpoint_interval=2_000)
-    snap_off, _ = _run_parallel(1, worker_lease=0, speculate=False)
+    snap_off, _ = _run_parallel(1, lookahead=False, speculate=False)
     assert eng_ck.batch_stats["sp_windows"] == 0
     assert eng_ck.batch_stats["leases"] == 0
     assert snap_ck == snap_off
 
 
-def test_speculation_denied_under_bounded_stepping():
+def test_speculation_denied_under_bounded_stepping(monkeypatch):
     """run(max_events=...) needs the strict stream; leases (and with
     them tails) must be denied."""
+    monkeypatch.setattr(parallel, "LEASE_EVERY", 1)
+    monkeypatch.setattr(parallel, "BATCH", 8)
     SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=1,
-                                         worker_batch=8, speculate=True))
+    eng = ParallelEngine(complex_backend(num_cpus=1, speculate=True))
     with eng:
         eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
         while eng._live > 0:
@@ -308,5 +310,5 @@ def test_speculation_denied_under_bounded_stepping():
         stats = eng.stats
     assert eng.batch_stats["sp_windows"] == 0
     assert eng.batch_stats["leases"] == 0
-    snap_strict, _ = _run_parallel(1, worker_lease=0, speculate=False)
+    snap_strict, _ = _run_parallel(1, lookahead=False, speculate=False)
     assert _snapshot(eng, stats) == snap_strict

@@ -118,7 +118,7 @@ def _run_parallel(vectorized, nworkers=1, **cfg_kw):
 
 
 def test_vec_under_worker_leases_bit_identical():
-    snap_on, eng_on = _run_parallel(True, worker_lease=4)
-    snap_off, _ = _run_parallel(False, worker_lease=4)
+    snap_on, eng_on = _run_parallel(True)
+    snap_off, _ = _run_parallel(False)
     assert snap_on == snap_off
     assert eng_on.batch_stats["lease_refs"] > 0

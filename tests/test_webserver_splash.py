@@ -78,6 +78,35 @@ class TestEndToEnd:
         assert wstats["served"] >= 8
         assert all(w.state == ProcState.DONE for w in workers)
 
+    @staticmethod
+    def _seeded_web_run(seed):
+        """``build_web_run``'s setup with the trace seed routed through."""
+        eng = Engine(complex_backend(num_cpus=4, coherence="mesi",
+                                     num_nodes=1))
+        fset = generate_fileset(eng.os_server.fs, ndirs=1, size_scale=0.25)
+        trace = make_trace(fset, nrequests=20, seed=seed)
+        prefork_web_server(eng, nworkers=3)
+        player = TracePlayer(eng, trace, fset, nclients=4,
+                             nworkers_to_quit=3)
+        player.start()
+        stats = eng.run(until=400_000_000)
+        return eng, player, stats
+
+    @pytest.mark.parametrize("seed", [27, 35, 37])
+    def test_data_before_syn_is_not_dropped(self, seed):
+        """Request data whose RX interrupt is serviced before its SYN's is
+        queued until the SYN creates the connection; dropping it left a
+        worker blocked in kreadv forever (19 of 20 requests served)."""
+        eng, player, _ = self._seeded_web_run(seed)
+        assert player.completed == 20
+        assert eng._live == 0
+        assert eng.os_server.net.state_dict()["early"] == {}
+
+    def test_registry_trace_seed_timing_unchanged(self):
+        _, player, stats = self._seeded_web_run(3)
+        assert player.completed == 20
+        assert stats.end_cycle == 55_722_900
+
     def test_404_for_missing_file(self):
         eng = web_engine()
         fset = generate_fileset(eng.os_server.fs, ndirs=1, size_scale=0.2)
